@@ -49,12 +49,12 @@
 //! * `R104` (note) — impulse rewards block further lumping, with an
 //!   example pair.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
 use mrmc_csrl::{PathFormula, StateFormula};
-use mrmc_mrm::transform::quotient;
+use mrmc_mrm::transform::{quotient, quotient_ctmc};
 use mrmc_mrm::{Mrm, Partition};
 
 use crate::{Diagnostic, LintContext, Pass, Report, Scope, Severity};
@@ -148,16 +148,18 @@ pub struct LumpingAnalysis {
 /// Compute the coarsest provable `Φ`-preserving lumping of `mrm`.
 ///
 /// The algorithm is partition refinement: start from the coarsest
-/// partition compatible with the formula's atomic propositions (plus the
-/// state-reward rate when rewards are observed), then repeatedly split
+/// partition compatible with the formula's atomic propositions, then split
 /// blocks whose members disagree on their signature — the bitwise
 /// aggregate rate into every other block and, when rewards are observed,
-/// the set of impulse values earned towards every other block. At the
-/// fixpoint, remaining impulse-uniformity violations (a state earning two
-/// different impulses towards one block, or a nonzero impulse inside a
-/// block) trigger a split of the *receiving* block and the refinement
-/// restarts; every such split strictly increases the block count, so the
-/// loop terminates.
+/// the set of impulse values earned towards every other block. Refinement
+/// runs in generations that re-split only the blocks a previous split can
+/// have destabilized. When rewards are observed it is staged: rates first,
+/// then the state-reward split, then impulses; the stage boundaries are the
+/// partitions the `R103`/`R104` attribution compares. At the impulse
+/// fixpoint, impulse-uniformity violations (a state earning two different
+/// impulses towards one block, or a nonzero impulse inside a block) split
+/// the *receiving* block and refinement continues; every such split
+/// strictly increases the block count, so the loop terminates.
 pub fn analyze(mrm: &Mrm, formula: &StateFormula) -> LumpingAnalysis {
     let observation = Observation::of(formula);
     let mut relevant_aps: Vec<String> = formula
@@ -168,24 +170,11 @@ pub fn analyze(mrm: &Mrm, formula: &StateFormula) -> LumpingAnalysis {
     relevant_aps.sort_unstable();
     relevant_aps.dedup();
 
-    let partition = refine(
-        mrm,
-        &relevant_aps,
-        observation.rates,
-        observation.rewards,
-        observation.rewards,
-    );
-
-    let (reward_blocked, impulse_blocked) = if observation.rewards {
-        let p_rate = refine(mrm, &relevant_aps, true, false, false);
-        let p_state = refine(mrm, &relevant_aps, true, true, false);
-        (
-            first_split_pair(&p_rate, &p_state),
-            first_split_pair(&p_state, &partition),
-        )
-    } else {
-        (None, None)
-    };
+    let Refinement {
+        partition,
+        reward_blocked,
+        impulse_blocked,
+    } = refine(mrm, &relevant_aps, observation);
 
     let certificate = if partition.is_identity() {
         None
@@ -203,199 +192,554 @@ pub fn analyze(mrm: &Mrm, formula: &StateFormula) -> LumpingAnalysis {
     }
 }
 
-/// The coarsest partition matching the requested observation level.
-fn refine(
-    mrm: &Mrm,
-    relevant_aps: &[String],
-    use_rates: bool,
-    use_state_rewards: bool,
-    use_impulses: bool,
-) -> Partition {
+/// The outcome of [`refine`]: the final partition plus the attribution
+/// pairs of [`LumpingAnalysis`].
+struct Refinement {
+    partition: Partition,
+    reward_blocked: Option<(usize, usize)>,
+    impulse_blocked: Option<(usize, usize)>,
+}
+
+/// The coarsest partition matching `observation`, with `R103`/`R104`
+/// attribution taken from the stage boundaries of the same run.
+fn refine(mrm: &Mrm, relevant_aps: &[String], observation: Observation) -> Refinement {
     let n = mrm.num_states();
-    let mut keys: HashMap<(Vec<bool>, u64), usize> = HashMap::new();
-    let assignment: Vec<usize> = (0..n)
+    let mut keys: HashMap<Vec<bool>, usize> = HashMap::new();
+    let initial: Vec<usize> = (0..n)
         .map(|s| {
             let aps: Vec<bool> = relevant_aps
                 .iter()
                 .map(|ap| mrm.labeling().has(s, ap))
                 .collect();
-            let rho = if use_state_rewards {
-                mrm.state_reward(s).to_bits()
-            } else {
-                0
-            };
             let next = keys.len();
-            *keys.entry((aps, rho)).or_insert(next)
+            *keys.entry(aps).or_insert(next)
         })
         .collect();
-    let mut partition = Partition::from_assignment(&assignment);
-    if !use_rates {
-        return partition;
-    }
-
-    let mut rounds = 0u64;
-    let partition = 'outer: loop {
-        loop {
-            rounds += 1;
-            let refined = split_by_signature(mrm, &partition, use_impulses);
-            if refined.num_blocks() == partition.num_blocks() {
-                break;
-            }
-            partition = refined;
-        }
-        if !use_impulses {
-            break 'outer partition;
-        }
-        let Some((source, block)) = find_impulse_violation(mrm, &partition) else {
-            break 'outer partition;
+    if !observation.rates {
+        return Refinement {
+            partition: Partition::from_assignment(&initial),
+            reward_blocked: None,
+            impulse_blocked: None,
         };
-        partition = split_block_by_incoming_impulse(mrm, &partition, source, block);
-    };
-    mrmc_obs::record(|| mrmc_obs::Event::LumpingRefinement {
-        rounds,
-        states: n as u64,
-        blocks: partition.num_blocks() as u64,
-    });
-    partition
-}
-
-/// One refinement round: group states by their current block plus their
-/// per-target-block signature.
-fn split_by_signature(mrm: &Mrm, partition: &Partition, use_impulses: bool) -> Partition {
-    #[derive(Hash, PartialEq, Eq)]
-    struct Signature {
-        block: usize,
-        /// `(target block, aggregate rate bits)`, sorted by target block;
-        /// the sum is accumulated in row order so it is bit-reproducible.
-        rates: Vec<(usize, u64)>,
-        /// `(target block, sorted deduplicated impulse bits)`, including
-        /// the implicit zero of impulse-free transitions.
-        impulses: Vec<(usize, Vec<u64>)>,
     }
 
-    let n = mrm.num_states();
-    let k = partition.num_blocks();
-    let mut sums = vec![0.0_f64; k];
-    let mut touched: Vec<usize> = Vec::new();
-    let mut keys: HashMap<Signature, usize> = HashMap::new();
-    let assignment: Vec<usize> = (0..n)
-        .map(|s| {
-            let b = partition.block_of(s);
-            // BTreeMap: the signature below consumes this map in
-            // iteration order, so the order must be the key order, not
-            // hash order.
-            let mut impulse_map: BTreeMap<usize, Vec<u64>> = BTreeMap::new();
-            for (t, r) in mrm.ctmc().rates().row(s) {
-                let c = partition.block_of(t);
-                if c == b {
-                    continue;
-                }
-                if sums[c] == 0.0 {
-                    touched.push(c);
-                }
-                sums[c] += r;
-                if use_impulses {
-                    impulse_map
-                        .entry(c)
-                        .or_default()
-                        .push(mrm.impulse_reward(s, t).to_bits());
-                }
-            }
-            touched.sort_unstable();
-            let rates: Vec<(usize, u64)> =
-                touched.iter().map(|&c| (c, sums[c].to_bits())).collect();
-            for &c in &touched {
-                sums[c] = 0.0;
-            }
-            touched.clear();
-            // BTreeMap iteration is already key-ascending, so the
-            // signature's impulse list needs no extra outer sort.
-            let impulses: Vec<(usize, Vec<u64>)> = impulse_map
-                .into_iter()
-                .map(|(c, mut vs)| {
-                    vs.sort_unstable();
-                    vs.dedup();
-                    (c, vs)
-                })
-                .collect();
-            let next = keys.len();
-            *keys
-                .entry(Signature {
-                    block: b,
-                    rates,
-                    impulses,
-                })
-                .or_insert(next)
-        })
-        .collect();
-    Partition::from_assignment(&assignment)
+    let graph = EdgeIndex::new(mrm, observation.rewards);
+    let mut refiner = Refiner::new(&graph, &initial);
+    refiner.stabilize(false);
+    let (mut reward_blocked, mut impulse_blocked) = (None, None);
+    if observation.rewards {
+        let by_rates = refiner.block_of.clone();
+        refiner.split_every_block(|s| mrm.state_reward(s).to_bits());
+        refiner.stabilize(false);
+        let by_state_rewards = refiner.block_of.clone();
+        refiner.mark_all_full();
+        refiner.stabilize(true);
+        refiner.enforce_impulse_uniformity();
+        reward_blocked = first_split_pair(&by_rates, &by_state_rewards);
+        impulse_blocked = first_split_pair(&by_state_rewards, &refiner.block_of);
+    }
+    mrmc_obs::record(|| mrmc_obs::Event::LumpingRefinement {
+        rounds: refiner.rounds,
+        states: n as u64,
+        blocks: refiner.num_blocks() as u64,
+    });
+    Refinement {
+        partition: Partition::from_assignment(&refiner.block_of),
+        reward_blocked,
+        impulse_blocked,
+    }
 }
 
-/// Find a `(source state, block to split)` pair witnessing an impulse
-/// uniformity violation: either `source` earns two different impulses
-/// towards the block, or it earns a nonzero impulse *inside* it.
-fn find_impulse_violation(mrm: &Mrm, partition: &Partition) -> Option<(usize, usize)> {
-    for s in 0..mrm.num_states() {
-        let b = partition.block_of(s);
-        let mut per_block: HashMap<usize, u64> = HashMap::new();
-        for (t, _) in mrm.ctmc().rates().row(s) {
-            let c = partition.block_of(t);
-            let v = mrm.impulse_reward(s, t).to_bits();
+/// The transition structure refinement reads, flattened once per analysis:
+/// out-edges in CSR row order (target, rate, impulse bits) and the
+/// predecessor lists of every state.
+struct EdgeIndex {
+    /// Out-edges of state `s` are `start[s]..start[s + 1]`.
+    start: Vec<usize>,
+    target: Vec<usize>,
+    rate: Vec<f64>,
+    /// `ι(s, t).to_bits()` per edge; empty when rewards are not observed.
+    impulse: Vec<u64>,
+    /// Predecessors of state `t` are `pred[pred_start[t]..pred_start[t + 1]]`.
+    pred_start: Vec<usize>,
+    pred: Vec<usize>,
+}
+
+impl EdgeIndex {
+    fn new(mrm: &Mrm, with_impulses: bool) -> Self {
+        let n = mrm.num_states();
+        let rates = mrm.ctmc().rates();
+        let mut start = Vec::with_capacity(n + 1);
+        let mut target = Vec::with_capacity(rates.nnz());
+        let mut rate = Vec::with_capacity(rates.nnz());
+        start.push(0);
+        for s in 0..n {
+            for (t, r) in rates.row(s) {
+                target.push(t);
+                rate.push(r);
+            }
+            start.push(target.len());
+        }
+
+        let mut impulse = Vec::new();
+        if with_impulses {
+            impulse = vec![0; target.len()];
+            for (from, to, v) in mrm.impulse_rewards().iter() {
+                // CSR rows are column-sorted; an impulse on a non-edge is
+                // unobservable and stays out of the index.
+                let row = start[from]..start[from + 1];
+                if let Ok(i) = target[row.clone()].binary_search(&to) {
+                    impulse[row.start + i] = v.to_bits();
+                }
+            }
+        }
+
+        let mut pred_start = vec![0; n + 1];
+        for &t in &target {
+            pred_start[t + 1] += 1;
+        }
+        for t in 0..n {
+            pred_start[t + 1] += pred_start[t];
+        }
+        let mut fill = pred_start.clone();
+        let mut pred = vec![0; target.len()];
+        for s in 0..n {
+            for &t in &target[start[s]..start[s + 1]] {
+                pred[fill[t]] = s;
+                fill[t] += 1;
+            }
+        }
+        EdgeIndex {
+            start,
+            target,
+            rate,
+            impulse,
+            pred_start,
+            pred,
+        }
+    }
+
+    fn edges(&self, s: usize) -> std::ops::Range<usize> {
+        self.start[s]..self.start[s + 1]
+    }
+
+    fn preds(&self, t: usize) -> &[usize] {
+        &self.pred[self.pred_start[t]..self.pred_start[t + 1]]
+    }
+}
+
+/// Splitter-driven partition refinement over an [`EdgeIndex`].
+///
+/// Blocks are ranges of one permutation of the states, so moving a state
+/// to another block is `O(1)`. Block ids are dense but not canonical;
+/// [`Partition::from_assignment`] renumbers at the end.
+///
+/// When a block splits, its largest piece is the *heir*. A state whose
+/// edges into the old block all land in the heir sums the same rates, in
+/// the same row order, into the heir as it did into the old block, and
+/// earns the same impulses there, so its signature is unchanged. Only two
+/// kinds of states can change signature after a split, and only they are
+/// re-signed in the next generation:
+///
+/// * the members of every non-heir piece, whose edges into the heir used
+///   to be intra-block: the piece is marked *full*;
+/// * the predecessors of the states in a non-heir piece: they are
+///   *touched* and moved to the front of their block's range.
+///
+/// The untouched members of a block that is not full still share one
+/// signature, so signing one of them stands for all.
+struct Refiner<'g> {
+    graph: &'g EdgeIndex,
+    block_of: Vec<usize>,
+    /// The states grouped by block: block `b` is `elems[first[b]..end[b]]`,
+    /// with its `touched[b]` touched members at the front.
+    elems: Vec<usize>,
+    /// The index of each state in `elems`.
+    pos: Vec<usize>,
+    first: Vec<usize>,
+    end: Vec<usize>,
+    touched: Vec<usize>,
+    is_touched: Vec<bool>,
+    full: Vec<bool>,
+    dirty: Vec<usize>,
+    is_dirty: Vec<bool>,
+    /// Generations run so far, across all stages.
+    rounds: u64,
+    /// Per-block rate accumulators, zero between signatures.
+    sums: Vec<f64>,
+    /// The blocks with a nonzero entry in `sums`.
+    hit: Vec<usize>,
+    /// `(target block, impulse bits)` of the state being signed.
+    impulse_pairs: Vec<(usize, u64)>,
+    /// Per-block (or per-state) marks for the impulse-uniformity scans:
+    /// `seen[i]` is `(stamp, impulse bits)`, live only at the current stamp.
+    seen: Vec<(u64, u64)>,
+    stamp: u64,
+}
+
+impl<'g> Refiner<'g> {
+    fn new(graph: &'g EdgeIndex, assignment: &[usize]) -> Self {
+        let n = assignment.len();
+        let k = assignment.iter().max().map_or(0, |&b| b + 1);
+        let mut end = vec![0; k];
+        for &b in assignment {
+            end[b] += 1;
+        }
+        let mut first = vec![0; k];
+        let mut offset = 0;
+        for b in 0..k {
+            first[b] = offset;
+            offset += end[b];
+            end[b] = first[b];
+        }
+        let mut elems = vec![0; n];
+        let mut pos = vec![0; n];
+        for (s, &b) in assignment.iter().enumerate() {
+            elems[end[b]] = s;
+            pos[s] = end[b];
+            end[b] += 1;
+        }
+        let mut refiner = Refiner {
+            graph,
+            block_of: assignment.to_vec(),
+            elems,
+            pos,
+            first,
+            end,
+            touched: vec![0; k],
+            is_touched: vec![false; n],
+            full: vec![false; k],
+            dirty: Vec::new(),
+            is_dirty: vec![false; k],
+            rounds: 0,
+            sums: vec![0.0; n],
+            hit: Vec::new(),
+            impulse_pairs: Vec::new(),
+            seen: vec![(0, 0); n],
+            stamp: 0,
+        };
+        refiner.mark_all_full();
+        refiner
+    }
+
+    fn num_blocks(&self) -> usize {
+        self.first.len()
+    }
+
+    fn size(&self, b: usize) -> usize {
+        self.end[b] - self.first[b]
+    }
+
+    fn members(&self, b: usize) -> &[usize] {
+        &self.elems[self.first[b]..self.end[b]]
+    }
+
+    fn mark_dirty(&mut self, b: usize) {
+        if !self.is_dirty[b] {
+            self.is_dirty[b] = true;
+            self.dirty.push(b);
+        }
+    }
+
+    fn mark_full(&mut self, b: usize) {
+        if self.size(b) > 1 {
+            self.full[b] = true;
+            self.mark_dirty(b);
+        }
+    }
+
+    fn mark_all_full(&mut self) {
+        for b in 0..self.num_blocks() {
+            self.mark_full(b);
+        }
+    }
+
+    /// Move `s` to index `slot` of `elems`, swapping with the state there.
+    fn move_to(&mut self, s: usize, slot: usize) {
+        let other = self.elems[slot];
+        let from = self.pos[s];
+        self.elems[slot] = s;
+        self.elems[from] = other;
+        self.pos[s] = slot;
+        self.pos[other] = from;
+    }
+
+    /// Mark `s` for re-signing. A full block re-signs every member anyway,
+    /// and leaving its range alone lets callers iterate over it.
+    fn touch(&mut self, s: usize) {
+        let b = self.block_of[s];
+        if self.is_touched[s] || self.full[b] || self.size(b) < 2 {
+            return;
+        }
+        self.is_touched[s] = true;
+        self.move_to(s, self.first[b] + self.touched[b]);
+        self.touched[b] += 1;
+        self.mark_dirty(b);
+    }
+
+    /// Run generations until one splits nothing.
+    fn stabilize(&mut self, impulses: bool) {
+        while self.generation(impulses) {}
+    }
+
+    /// One generation: split every dirty block by signature against the
+    /// current assignment, then apply all splits together. Returns whether
+    /// anything split. The partition after each generation equals the one
+    /// a full round over every state would produce.
+    fn generation(&mut self, impulses: bool) -> bool {
+        self.rounds += 1;
+        let mut signed: Vec<usize> = Vec::new();
+        let mut keys: Vec<u64> = Vec::new();
+        let mut ends: Vec<usize> = Vec::new();
+        let mut splits: Vec<(usize, Vec<Vec<usize>>)> = Vec::new();
+        for b in std::mem::take(&mut self.dirty) {
+            let lo = self.first[b];
+            let touched = std::mem::replace(&mut self.touched[b], 0);
+            for i in lo..lo + touched {
+                self.is_touched[self.elems[i]] = false;
+            }
+            self.is_dirty[b] = false;
+            let full = std::mem::replace(&mut self.full[b], false);
+            let size = self.size(b);
+            if size < 2 {
+                continue;
+            }
+            // The first untouched member represents all untouched ones;
+            // signing it first makes its group the first group.
+            let represented = !full && touched < size;
+            signed.clear();
+            if represented {
+                signed.push(self.elems[lo + touched]);
+                signed.extend_from_slice(&self.elems[lo..lo + touched]);
+            } else {
+                signed.extend_from_slice(self.members(b));
+            }
+            keys.clear();
+            ends.clear();
+            for &s in &signed {
+                self.signature(s, b, impulses, &mut keys);
+                ends.push(keys.len());
+            }
+            if let Some(mut groups) = group_by_key(&signed, &keys, &ends) {
+                // The group that stays under id `b`: the representative's,
+                // which holds every unsigned member, else the largest.
+                let stays = if represented { 0 } else { largest(&groups) };
+                groups.swap_remove(stays);
+                splits.push((b, groups));
+            }
+        }
+        let split_any = !splits.is_empty();
+        self.apply(splits);
+        split_any
+    }
+
+    /// Append the signature of `s` (in block `b`) to `out`: the number of
+    /// target blocks, then `(target block, aggregate rate bits)` sorted by
+    /// block, then — when impulses are observed — the sorted, deduplicated
+    /// `(target block, impulse bits)` pairs. Rates are summed in row order,
+    /// so the sums are bit-identical to the quotient's and the verifier's.
+    fn signature(&mut self, s: usize, b: usize, impulses: bool, out: &mut Vec<u64>) {
+        let graph = self.graph;
+        for e in graph.edges(s) {
+            let c = self.block_of[graph.target[e]];
+            if c == b {
+                continue;
+            }
+            if self.sums[c] == 0.0 {
+                self.hit.push(c);
+            }
+            self.sums[c] += graph.rate[e];
+            if impulses {
+                self.impulse_pairs.push((c, graph.impulse[e]));
+            }
+        }
+        self.hit.sort_unstable();
+        out.push(self.hit.len() as u64);
+        for &c in &self.hit {
+            out.extend([c as u64, self.sums[c].to_bits()]);
+            self.sums[c] = 0.0;
+        }
+        self.hit.clear();
+        if impulses {
+            self.impulse_pairs.sort_unstable();
+            self.impulse_pairs.dedup();
+            for &(c, v) in &self.impulse_pairs {
+                out.extend([c as u64, v]);
+            }
+            self.impulse_pairs.clear();
+        }
+    }
+
+    /// Move each `(block, leaving groups)` entry's groups out into fresh
+    /// blocks, then mark every non-heir piece full and touch the
+    /// predecessors of its members.
+    fn apply(&mut self, splits: Vec<(usize, Vec<Vec<usize>>)>) {
+        let mut non_heirs: Vec<usize> = Vec::new();
+        for (b, leaving) in splits {
+            let mut pieces = vec![b];
+            for group in leaving {
+                let id = self.num_blocks();
+                let group_end = self.end[b];
+                for s in group {
+                    self.end[b] -= 1;
+                    self.move_to(s, self.end[b]);
+                    self.block_of[s] = id;
+                }
+                self.first.push(self.end[b]);
+                self.end.push(group_end);
+                self.touched.push(0);
+                self.full.push(false);
+                self.is_dirty.push(false);
+                pieces.push(id);
+            }
+            let heir = (0..pieces.len())
+                .max_by_key(|&i| self.size(pieces[i]))
+                .unwrap_or(0);
+            pieces.swap_remove(heir);
+            non_heirs.extend(pieces);
+        }
+        let graph = self.graph;
+        for p in non_heirs {
+            self.mark_full(p);
+            for i in self.first[p]..self.end[p] {
+                for &q in graph.preds(self.elems[i]) {
+                    self.touch(q);
+                }
+            }
+        }
+    }
+
+    /// Split every block by `key`, as one step outside any generation.
+    fn split_every_block(&mut self, key: impl Fn(usize) -> u64) {
+        let mut splits = Vec::new();
+        for b in 0..self.num_blocks() {
+            let members = self.members(b);
+            let keys: Vec<u64> = members.iter().map(|&s| key(s)).collect();
+            let ends: Vec<usize> = (1..=keys.len()).collect();
+            if let Some(groups) = group_by_key(members, &keys, &ends) {
+                splits.push((b, without_largest(groups)));
+            }
+        }
+        self.apply(splits);
+    }
+
+    /// The block `s` violates impulse uniformity against, if any: the
+    /// first edge (in row order) that carries a nonzero impulse inside
+    /// `s`'s own block, or an impulse differing from an earlier one into
+    /// the same target block.
+    fn impulse_violation(&mut self, s: usize) -> Option<usize> {
+        let graph = self.graph;
+        let b = self.block_of[s];
+        self.stamp += 1;
+        for e in graph.edges(s) {
+            let c = self.block_of[graph.target[e]];
+            let v = graph.impulse[e];
             if c == b {
                 if v != 0 {
-                    return Some((s, b));
+                    return Some(b);
                 }
-            } else if let Some(&prev) = per_block.get(&c) {
-                if prev != v {
-                    return Some((s, c));
+            } else if self.seen[c].0 == self.stamp {
+                if self.seen[c].1 != v {
+                    return Some(c);
                 }
             } else {
-                per_block.insert(c, v);
+                self.seen[c] = (self.stamp, v);
+            }
+        }
+        None
+    }
+
+    /// Enforce impulse uniformity at the impulse fixpoint.
+    ///
+    /// Refinement never creates a violation (a violation against a block
+    /// is one against every block containing it), so one scan finds every
+    /// source that will ever need a fix. Sources are then fixed in state
+    /// order, refining to the fixpoint after each split, because a split
+    /// can dissolve a later source's violation and splitting by both at
+    /// once would separate states the sequential order keeps together.
+    fn enforce_impulse_uniformity(&mut self) {
+        let sources: Vec<usize> = (0..self.block_of.len())
+            .filter(|&s| self.impulse_violation(s).is_some())
+            .collect();
+        for source in sources {
+            while let Some(block) = self.impulse_violation(source) {
+                self.split_by_incoming_impulse(source, block);
+                self.stabilize(true);
             }
         }
     }
-    None
+
+    /// Split `block` by the impulse its members receive from `source` (a
+    /// member without a `source` transition is its own group). Any valid
+    /// lumping must separate members receiving different impulses from the
+    /// same state, and the split always separates the witnessing pair.
+    fn split_by_incoming_impulse(&mut self, source: usize, block: usize) {
+        let graph = self.graph;
+        self.stamp += 1;
+        for e in graph.edges(source) {
+            let t = graph.target[e];
+            if self.block_of[t] == block {
+                self.seen[t] = (self.stamp, graph.impulse[e]);
+            }
+        }
+        // A member without a `source` transition has the empty key.
+        let mut keys: Vec<u64> = Vec::new();
+        let mut ends: Vec<usize> = Vec::new();
+        for &t in self.members(block) {
+            if self.seen[t].0 == self.stamp {
+                keys.push(self.seen[t].1);
+            }
+            ends.push(keys.len());
+        }
+        if let Some(groups) = group_by_key(self.members(block), &keys, &ends) {
+            self.apply(vec![(block, without_largest(groups))]);
+        }
+    }
 }
 
-/// Split `block` by the impulse its members receive from `source`
-/// (a state without a `source` transition is its own group). Any valid
-/// lumping must separate members receiving different impulses from the
-/// same state, so this never splits a pair the coarsest valid partition
-/// could keep together — and it always splits the witnessing pair, so the
-/// outer loop makes progress.
-fn split_block_by_incoming_impulse(
-    mrm: &Mrm,
-    partition: &Partition,
-    source: usize,
-    block: usize,
-) -> Partition {
-    let mut from_source: HashMap<usize, u64> = HashMap::new();
-    for (t, _) in mrm.ctmc().rates().row(source) {
-        if partition.block_of(t) == block {
-            from_source.insert(t, mrm.impulse_reward(source, t).to_bits());
-        }
+/// The index of the first largest group.
+fn largest(groups: &[Vec<usize>]) -> usize {
+    (0..groups.len())
+        .max_by_key(|&i| (groups[i].len(), std::cmp::Reverse(i)))
+        .unwrap_or(0)
+}
+
+/// `groups` without its largest group.
+fn without_largest(mut groups: Vec<Vec<usize>>) -> Vec<Vec<usize>> {
+    groups.swap_remove(largest(&groups));
+    groups
+}
+
+/// Group `members` by their keys, `keys[ends[i - 1]..ends[i]]` for member
+/// `i`, in order of first appearance; `None` when all keys are equal.
+fn group_by_key(members: &[usize], keys: &[u64], ends: &[usize]) -> Option<Vec<Vec<usize>>> {
+    let key = |i: usize| &keys[if i == 0 { 0 } else { ends[i - 1] }..ends[i]];
+    if (1..members.len()).all(|i| key(i) == key(0)) {
+        return None;
     }
-    let k = partition.num_blocks();
-    let mut keys: HashMap<Option<u64>, usize> = HashMap::new();
-    let mut assignment = partition.assignment().to_vec();
-    for (t, slot) in assignment.iter_mut().enumerate() {
-        if *slot == block {
-            let next = keys.len();
-            *slot = k + *keys.entry(from_source.get(&t).copied()).or_insert(next);
+    let mut index: HashMap<&[u64], usize> = HashMap::new();
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for (i, &s) in members.iter().enumerate() {
+        let next = groups.len();
+        let g = *index.entry(key(i)).or_insert(next);
+        if g == next {
+            groups.push(Vec::new());
         }
+        groups[g].push(s);
     }
-    Partition::from_assignment(&assignment)
+    Some(groups)
 }
 
 /// The first (lowest-index) pair of states sharing a `coarse` block but
-/// split apart in `fine`; `fine` must refine `coarse`.
-fn first_split_pair(coarse: &Partition, fine: &Partition) -> Option<(usize, usize)> {
-    let mut first_seen: Vec<Option<(usize, usize)>> = vec![None; coarse.num_blocks()];
-    for s in 0..coarse.num_states() {
-        match first_seen[coarse.block_of(s)] {
-            None => first_seen[coarse.block_of(s)] = Some((s, fine.block_of(s))),
+/// split apart in `fine`; both are per-state block assignments with ids
+/// below the state count, and `fine` must refine `coarse`.
+fn first_split_pair(coarse: &[usize], fine: &[usize]) -> Option<(usize, usize)> {
+    let mut first_seen: Vec<Option<(usize, usize)>> = vec![None; coarse.len()];
+    for (s, (&cb, &fb)) in coarse.iter().zip(fine).enumerate() {
+        match first_seen[cb] {
+            None => first_seen[cb] = Some((s, fb)),
             Some((s0, fb0)) => {
-                if fine.block_of(s) != fb0 {
+                if fb != fb0 {
                     return Some((s0, s));
                 }
             }
@@ -415,7 +759,7 @@ fn build_certificate(
     } else {
         // The formula cannot observe rewards, so the quotient is built
         // reward-free: cheaper to check, and the verifier can insist on it.
-        quotient(&Mrm::without_rewards(mrm.ctmc().clone()), partition).ok()?
+        Mrm::without_rewards(quotient_ctmc(mrm.ctmc(), partition).ok()?)
     };
     Some(LumpingCertificate {
         partition: partition.clone(),
@@ -725,6 +1069,9 @@ pub const PASS: Pass = Pass {
     scope: Scope::Formula,
     run: pass,
 };
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {

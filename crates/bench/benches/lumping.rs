@@ -14,7 +14,7 @@ use mrmc_bench::{criterion_group, criterion_main};
 use mrmc_models::cluster::{cluster, ClusterConfig};
 use mrmc_models::random::{random_mrm, RandomMrmConfig};
 use mrmc_models::tmr::{tmr, TmrConfig};
-use mrmc_mrm::transform;
+use mrmc_mrm::{transform, Mrm};
 
 fn bench_case_studies(c: &mut Criterion) {
     let cases = [
@@ -81,5 +81,52 @@ fn bench_random_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_case_studies, bench_random_scaling);
+/// The `cluster-oneshot` formula mix, with short ids.
+const CLUSTER_FORMULAS: [(&str, &str); 4] = [
+    ("reach", "P(> 0.1) [TT U down]"),
+    ("transient", "P(> 0.5) [TT U[0,10] down]"),
+    ("reward_bounded", "P(> 0.001) [premium U[0,1][0,4] down]"),
+    ("steady", "S(> 0.9) (premium)"),
+];
+
+fn bench_cluster_ladder(c: &mut Criterion) {
+    let mut group = c.benchmark_group("lumping_cluster_ladder");
+    group.sample_size(10);
+    for n in [8, 16, 32] {
+        let mrm = cluster(&ClusterConfig::new(n));
+        for (tag, formula) in CLUSTER_FORMULAS {
+            let phi = mrmc_csrl::parse(formula).unwrap();
+            group.bench_function(format!("analyze_n={n}_{tag}"), |b| {
+                b.iter(|| black_box(analyze(&mrm, &phi)));
+            });
+            let Some(cert) = analyze(&mrm, &phi).certificate else {
+                continue;
+            };
+            group.bench_function(format!("verify_n={n}_{tag}"), |b| {
+                b.iter(|| cert.verify(black_box(&mrm)).unwrap());
+            });
+            // The quotient exactly as the certificate builds it.
+            group.bench_function(format!("quotient_n={n}_{tag}"), |b| {
+                b.iter(|| {
+                    if cert.observes_rewards {
+                        transform::quotient(black_box(&mrm), &cert.partition).unwrap()
+                    } else {
+                        Mrm::without_rewards(
+                            transform::quotient_ctmc(black_box(mrm.ctmc()), &cert.partition)
+                                .unwrap(),
+                        )
+                    }
+                });
+            });
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_case_studies,
+    bench_random_scaling,
+    bench_cluster_ladder
+);
 criterion_main!(benches);

@@ -105,6 +105,30 @@ impl Labeling {
             .collect()
     }
 
+    /// The labeling of a quotient whose state `b` is the block
+    /// `blocks[b]` of this labeling's states: each block keeps the
+    /// propositions [`common_to`](Labeling::common_to) its members, and the
+    /// declared vocabulary carries over.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any state is out of bounds.
+    pub fn quotient(&self, blocks: &[Vec<usize>]) -> Labeling {
+        let per_state = blocks
+            .iter()
+            .map(|members| {
+                self.common_to(members)
+                    .into_iter()
+                    .map(str::to_owned)
+                    .collect()
+            })
+            .collect();
+        Labeling {
+            per_state,
+            declared: self.declared.clone(),
+        }
+    }
+
     /// Every proposition used anywhere in the labeling, sorted and
     /// de-duplicated.
     pub fn all_propositions(&self) -> Vec<&str> {
@@ -142,6 +166,30 @@ mod tests {
         );
         let aps: Vec<&str> = l.of_state(3).collect();
         assert_eq!(aps, vec!["busy", "receive"]);
+    }
+
+    #[test]
+    fn quotient_keeps_common_propositions_and_the_vocabulary() {
+        let mut l = Labeling::new(4);
+        l.declare("unused");
+        l.add(0, "a").add(0, "b");
+        l.add(1, "a");
+        l.add(2, "b").add(2, "c");
+        let blocks = vec![vec![0, 1], vec![2], vec![3]];
+        let q = l.quotient(&blocks);
+
+        let mut expected = Labeling::new(3);
+        for (b, members) in blocks.iter().enumerate() {
+            for ap in l.common_to(members) {
+                expected.add(b, ap);
+            }
+        }
+        for ap in l.declared() {
+            expected.declare(ap);
+        }
+        assert_eq!(q, expected);
+        assert_eq!(q.of_state(0).collect::<Vec<_>>(), vec!["a"]);
+        assert!(q.declared().contains(&"unused"));
     }
 
     #[test]

@@ -77,7 +77,7 @@ pub fn make_absorbing(mrm: &Mrm, absorb: &[bool]) -> Result<Mrm, MrmError> {
 ///   ordinarily lumpable partition they only re-randomize inside the
 ///   block and do not affect the aggregated law;
 /// * **labels** — a block keeps exactly the propositions common to *all*
-///   its members ([`Labeling::common_to`](mrmc_ctmc::Labeling::common_to));
+///   its members ([`Labeling::quotient`](mrmc_ctmc::Labeling::quotient));
 ///   the declared vocabulary is preserved;
 /// * **state rewards** — the representative's reward;
 /// * **impulse rewards** — the representative's outgoing impulses, mapped
@@ -92,7 +92,33 @@ pub fn make_absorbing(mrm: &Mrm, absorb: &[bool]) -> Result<Mrm, MrmError> {
 /// [`MrmError::PartitionSizeMismatch`] when the partition does not cover
 /// the state space; reconstruction errors are propagated.
 pub fn quotient(mrm: &Mrm, partition: &Partition) -> Result<Mrm, MrmError> {
-    let n = mrm.num_states();
+    let ctmc = quotient_ctmc(mrm.ctmc(), partition)?;
+    let k = partition.num_blocks();
+    let rho = StateRewards::new(
+        (0..k)
+            .map(|block| mrm.state_reward(partition.representative(block)))
+            .collect(),
+    )?;
+    let mut iota = ImpulseRewards::new();
+    for (from, to, v) in mrm.impulse_rewards().iter() {
+        let fb = partition.block_of(from);
+        if from == partition.representative(fb) && partition.block_of(to) != fb {
+            iota.set(fb, partition.block_of(to), v)?;
+        }
+    }
+    Mrm::new(ctmc, rho, iota)
+}
+
+/// The labeled-chain part of [`quotient`]: rates and labels of `M/∼`,
+/// without rewards. A reward-free quotient is
+/// `Mrm::without_rewards(quotient_ctmc(…)?)`, with no copy of the chain.
+///
+/// # Errors
+///
+/// [`MrmError::PartitionSizeMismatch`] when the partition does not cover
+/// the state space; reconstruction errors are propagated.
+pub fn quotient_ctmc(ctmc: &Ctmc, partition: &Partition) -> Result<Ctmc, MrmError> {
+    let n = ctmc.num_states();
     if partition.num_states() != n {
         return Err(MrmError::PartitionSizeMismatch {
             states: n,
@@ -106,7 +132,7 @@ pub fn quotient(mrm: &Mrm, partition: &Partition) -> Result<Mrm, MrmError> {
     let mut touched: Vec<usize> = Vec::new();
     for block in 0..k {
         let rep = partition.representative(block);
-        for (t, r) in mrm.ctmc().rates().row(rep) {
+        for (t, r) in ctmc.rates().row(rep) {
             let c = partition.block_of(t);
             if c == block {
                 continue;
@@ -123,29 +149,9 @@ pub fn quotient(mrm: &Mrm, partition: &Partition) -> Result<Mrm, MrmError> {
         }
         touched.clear();
     }
-    for (block, members) in partition.blocks().iter().enumerate() {
-        for ap in mrm.labeling().common_to(members) {
-            b.label(block, ap);
-        }
-    }
-    let mut ctmc: Ctmc = b.build()?;
-    for ap in mrm.labeling().declared() {
-        ctmc.labeling_mut().declare(ap);
-    }
-
-    let rho = StateRewards::new(
-        (0..k)
-            .map(|block| mrm.state_reward(partition.representative(block)))
-            .collect(),
-    )?;
-    let mut iota = ImpulseRewards::new();
-    for (from, to, v) in mrm.impulse_rewards().iter() {
-        let fb = partition.block_of(from);
-        if from == partition.representative(fb) && partition.block_of(to) != fb {
-            iota.set(fb, partition.block_of(to), v)?;
-        }
-    }
-    Mrm::new(ctmc, rho, iota)
+    let mut quotient: Ctmc = b.build()?;
+    *quotient.labeling_mut() = ctmc.labeling().quotient(&partition.blocks());
+    Ok(quotient)
 }
 
 #[cfg(test)]

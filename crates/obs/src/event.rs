@@ -131,7 +131,7 @@ pub enum Event {
     },
     /// A lumpability partition-refinement run finished.
     LumpingRefinement {
-        /// Refinement rounds until the fixpoint.
+        /// Refinement generations until the fixpoint, summed over stages.
         rounds: u64,
         /// States of the model analyzed.
         states: u64,
