@@ -14,8 +14,6 @@ use mrmc_server::json::{self, Value};
 const SNAPSHOTS: &[&str] = &[
     "BENCH_kernels.json",
     "BENCH_kernels_baseline.json",
-    "BENCH_parallel.json",
-    "BENCH_parallel_baseline.json",
     "BENCH_adaptive.json",
     "BENCH_adaptive_baseline.json",
     "BENCH_dataflow.json",
@@ -151,7 +149,6 @@ fn committed_pairs_pass_the_regression_sentinel() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     for (current, baseline) in [
         ("BENCH_kernels.json", "BENCH_kernels_baseline.json"),
-        ("BENCH_parallel.json", "BENCH_parallel_baseline.json"),
         ("BENCH_adaptive.json", "BENCH_adaptive_baseline.json"),
         ("BENCH_server.json", "BENCH_server_baseline.json"),
     ] {
@@ -178,7 +175,6 @@ fn committed_pairs_pass_the_regression_sentinel() {
 fn every_baseline_benchmark_still_exists_in_its_snapshot() {
     for (current, baseline) in [
         ("BENCH_kernels.json", "BENCH_kernels_baseline.json"),
-        ("BENCH_parallel.json", "BENCH_parallel_baseline.json"),
         ("BENCH_adaptive.json", "BENCH_adaptive_baseline.json"),
         ("BENCH_dataflow.json", "BENCH_dataflow_baseline.json"),
         ("BENCH_server.json", "BENCH_server_baseline.json"),

@@ -14,11 +14,8 @@
 //!   (round-trip tested in the CSRL corpus), so structurally identical
 //!   subformulas share entries across enclosing formulas;
 //! * the **options fingerprint** ([`options_fingerprint`]) digests every
-//!   accuracy-relevant knob — engine and its parameters, solver method and
-//!   tolerances, adaptive tolerance, reduction policy — but deliberately
-//!   *not* thread counts: the parallel engines are bit-identical at every
-//!   thread count (see `tests/cross_engine.rs`), so a result computed at
-//!   one count may be served at any other.
+//!   accuracy-relevant knob — engine and its parameters, solver
+//!   tolerances, adaptive tolerance, reduction policy.
 //!
 //! Serving a hit is exact: the engines are deterministic functions of
 //! `(model, subformula, options)`, so a cached triple is bit-for-bit the
@@ -113,15 +110,12 @@ pub fn model_hash(mrm: &Mrm) -> u64 {
 
 /// Fingerprint of every accuracy-relevant checking option.
 ///
-/// Thread counts are normalized to `1` first — the parallel engines are
-/// bit-identical at every thread count, so results may be shared across
-/// counts. Everything else (engine knobs, solver method and tolerances,
-/// adaptive tolerance, reduction policy, pre-flight) is digested via the
-/// `Debug` rendering, whose `f64` formatting is shortest-round-trip and
-/// therefore value-exact.
+/// All of them (engine knobs, solver tolerances, adaptive tolerance,
+/// reduction policy, pre-flight, slicing) are digested via the `Debug`
+/// rendering, whose `f64` formatting is shortest-round-trip and therefore
+/// value-exact.
 pub fn options_fingerprint(options: &CheckOptions) -> u64 {
-    let normalized = options.with_threads(1);
-    hash_bytes(format!("{normalized:?}").as_bytes())
+    hash_bytes(format!("{options:?}").as_bytes())
 }
 
 /// The cache context: which model (by content hash) and which options the
@@ -353,7 +347,7 @@ pub(crate) fn condensation_for(mrm: &Mrm) -> Arc<mrmc_ctmc::bscc::SccDecompositi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::UntilEngine;
+    use crate::{Reduction, UntilEngine};
 
     #[test]
     fn model_hash_distinguishes_semantic_changes() {
@@ -383,23 +377,36 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_ignores_threads_but_not_knobs() {
+    fn fingerprint_splits_on_every_knob() {
         let base = CheckOptions::new();
         assert_eq!(
             options_fingerprint(&base),
-            options_fingerprint(&base.with_threads(8)),
-            "thread count must not split the cache"
+            options_fingerprint(&CheckOptions::new()),
+            "equal options must share the cache"
         );
-        assert_ne!(
-            options_fingerprint(&base),
-            options_fingerprint(&base.with_engine(UntilEngine::uniformization(1e-10))),
-            "engine knob must split the cache"
-        );
-        assert_ne!(
-            options_fingerprint(&base),
-            options_fingerprint(&base.with_tolerance(1e-6)),
-            "tolerance must split the cache"
-        );
+        let mut solver_tolerance = base;
+        solver_tolerance.solver = base.solver.with_tolerance(1e-9);
+        let mut transient_epsilon = base;
+        transient_epsilon.transient_epsilon = 1e-12;
+        let variants = [
+            (
+                "engine knob",
+                base.with_engine(UntilEngine::uniformization(1e-10)),
+            ),
+            ("tolerance", base.with_tolerance(1e-6)),
+            ("reduction", base.with_reduction(Reduction::Off)),
+            ("preflight", base.without_preflight()),
+            ("slicing", base.without_slicing()),
+            ("solver tolerance", solver_tolerance),
+            ("transient epsilon", transient_epsilon),
+        ];
+        for (knob, options) in variants {
+            assert_ne!(
+                options_fingerprint(&base),
+                options_fingerprint(&options),
+                "{knob} must split the cache"
+            );
+        }
     }
 
     #[test]

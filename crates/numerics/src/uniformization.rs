@@ -20,53 +20,9 @@ use mrmc_mrm::{transform::make_absorbing, Mrm, UniformizedMrm};
 use crate::budget::ErrorBudget;
 use crate::error::NumericsError;
 use crate::kahan::KahanSum;
-use crate::parallel::{self, TermRequest};
+use crate::omega::{OmegaEvaluator, OmegaTermCache};
 use crate::path_classes::PathClasses;
 use crate::reward_structure::RewardClasses;
-
-/// Threading options for the path-exploration engine.
-///
-/// The parallel engine (module [`parallel`]) is
-/// **deterministic**: for any `threads` and `chunk_size` the result is
-/// bit-for-bit identical to the serial engine, so these knobs only trade
-/// wall-clock time, never accuracy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParallelOptions {
-    /// Number of worker threads. `1` (the default) runs the serial engine;
-    /// `0` auto-detects the available CPU parallelism.
-    pub threads: usize,
-    /// Target number of work items *per thread*: the sequential frontier
-    /// pass is deepened until at least `threads × chunk_size` subtrees are
-    /// available, so the atomic work queue can balance uneven subtree
-    /// sizes. Default `8`.
-    pub chunk_size: usize,
-}
-
-impl ParallelOptions {
-    /// Serial defaults: one thread, chunk size 8.
-    pub fn new() -> Self {
-        ParallelOptions {
-            threads: 1,
-            chunk_size: 8,
-        }
-    }
-
-    /// The actual worker count: resolves `threads == 0` to the available
-    /// CPU parallelism (at least 1).
-    pub fn effective_threads(&self) -> usize {
-        if self.threads == 0 {
-            std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
-        } else {
-            self.threads
-        }
-    }
-}
-
-impl Default for ParallelOptions {
-    fn default() -> Self {
-        ParallelOptions::new()
-    }
-}
 
 /// Options for the uniformization engine.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -91,9 +47,6 @@ pub struct UniformOptions {
     /// when `P(σ)·max_{m ≥ n} ψ_m(Λt) < w`. Off by default for fidelity;
     /// the ablation bench compares both rules.
     pub improved_pruning: bool,
-    /// Threading configuration; serial by default. Any setting produces
-    /// bit-identical results (see [`ParallelOptions`]).
-    pub parallel: ParallelOptions,
 }
 
 impl UniformOptions {
@@ -104,7 +57,6 @@ impl UniformOptions {
             lambda: None,
             max_depth: 1_000_000,
             improved_pruning: false,
-            parallel: ParallelOptions::new(),
         }
     }
 
@@ -124,18 +76,6 @@ impl UniformOptions {
     /// [`improved_pruning`](UniformOptions::improved_pruning)).
     pub fn with_improved_pruning(mut self) -> Self {
         self.improved_pruning = true;
-        self
-    }
-
-    /// Set the worker-thread count (`0` = auto-detect, `1` = serial).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.parallel.threads = threads;
-        self
-    }
-
-    /// Replace the full threading configuration.
-    pub fn with_parallel(mut self, parallel: ParallelOptions) -> Self {
-        self.parallel = parallel;
         self
     }
 }
@@ -283,14 +223,7 @@ pub fn until_probability(
         &options,
     );
     record_exploration(start, &classes);
-    evaluate_classes(
-        &classes,
-        &classes_def,
-        uni.lambda() * t,
-        t,
-        r,
-        options.parallel.effective_threads(),
-    )
+    evaluate_classes(&classes, &classes_def, uni.lambda() * t, t, r)
 }
 
 /// Emit the path-exploration telemetry for one start state (no-op without
@@ -351,14 +284,7 @@ pub fn until_probabilities_all(
             let classes =
                 generate_path_classes(&uni, &classes_def, phi, psi, s, lambda_t, &options);
             record_exploration(s, &classes);
-            out.push(evaluate_classes(
-                &classes,
-                &classes_def,
-                lambda_t,
-                t,
-                r,
-                options.parallel.effective_threads(),
-            )?);
+            out.push(evaluate_classes(&classes, &classes_def, lambda_t, t, r)?);
         }
         if (s as u64 + 1).is_multiple_of(progress_step) || s + 1 == n {
             mrmc_obs::record(|| mrmc_obs::Event::Progress {
@@ -401,23 +327,12 @@ pub fn performability(
         &options,
     );
     record_exploration(start, &classes);
-    evaluate_classes(
-        &classes,
-        &classes_def,
-        uni.lambda() * t,
-        t,
-        r,
-        options.parallel.effective_threads(),
-    )
+    evaluate_classes(&classes, &classes_def, uni.lambda() * t, t, r)
 }
 
 /// Run Algorithm 4.7 (depth-first path generation) and return the aggregated
 /// path classes. Exposed publicly so the exploration itself can be tested
 /// and benchmarked (Figure 4.3).
-///
-/// With `options.parallel.threads > 1` the exploration runs on the
-/// multi-threaded engine of the [`parallel`] module; the
-/// result is bit-for-bit identical to the serial run.
 #[allow(clippy::too_many_arguments)]
 pub fn generate_path_classes(
     uni: &UniformizedMrm,
@@ -428,24 +343,196 @@ pub fn generate_path_classes(
     lambda_t: f64,
     options: &UniformOptions,
 ) -> PathClasses {
-    parallel::explore(uni, classes_def, phi, psi, start, lambda_t, options)
+    let ctx = ExploreCtx {
+        uni,
+        rc: classes_def,
+        phi,
+        psi,
+        lambda_t,
+        w: options.truncation,
+        max_depth: options.max_depth,
+        mode_pmf: options
+            .improved_pruning
+            .then(|| poisson::pmf(lambda_t, lambda_t.floor() as u64)),
+    };
+
+    let mut out = PathClasses::new();
+    if !phi[start] && !psi[start] {
+        return out;
+    }
+    let root_weight = (-lambda_t).exp();
+    let root_pruned = match ctx.mode_pmf {
+        None => root_weight < ctx.w,
+        Some(mode) => mode < ctx.w,
+    };
+    if root_pruned {
+        // Even the empty path is below the truncation probability: the
+        // whole computation is truncated mass.
+        out.add_error(1.0);
+        return out;
+    }
+
+    let mut counts = Counts {
+        k: vec![0; classes_def.num_state_classes()],
+        j: vec![0; classes_def.num_impulse_classes()],
+    };
+    counts.k[classes_def.state_class(start)] = 1;
+    visit(&ctx, &mut counts, &mut out, start, 0, 1.0, root_weight);
+    out
+}
+
+/// Everything the visit logic reads.
+struct ExploreCtx<'a> {
+    uni: &'a UniformizedMrm,
+    rc: &'a RewardClasses,
+    phi: &'a [bool],
+    psi: &'a [bool],
+    lambda_t: f64,
+    w: f64,
+    max_depth: u64,
+    /// `max_m ψ_m(Λt)` for potential-based pruning (`None` = literal rule).
+    mode_pmf: Option<f64>,
+}
+
+/// The mutable `(k, j)` reward-count vectors threaded through the DFS.
+struct Counts {
+    k: Vec<u32>,
+    j: Vec<u32>,
+}
+
+/// The visit logic of Algorithm 4.7: count the node, store it if it ends
+/// in Ψ, then extend it by every transition that survives pruning, folding
+/// stores and Eq. 4.6 error contributions into `out` in DFS order.
+fn visit(
+    ctx: &ExploreCtx<'_>,
+    counts: &mut Counts,
+    out: &mut PathClasses,
+    s: usize,
+    n: u64,
+    path_prob: f64,
+    weighted: f64,
+) {
+    out.count_node(n);
+    if ctx.psi[s] {
+        out.store(&counts.k, &counts.j, path_prob);
+    }
+    let next_factor = ctx.lambda_t / (n + 1) as f64;
+    for (target, p, impulse) in ctx.uni.transitions(s) {
+        // Line 1 of Algorithm 4.7: (¬Φ ∧ ¬Ψ)-states end exploration and
+        // can never satisfy the formula — no error contribution either.
+        if !ctx.phi[target] && !ctx.psi[target] {
+            continue;
+        }
+        let child_path = path_prob * p;
+        let child_weighted = weighted * next_factor * p;
+        // Literal rule: prune on P(σ, t) < w. Potential rule: prune only
+        // when no extension of σ can reach weight w any more.
+        let prune = match ctx.mode_pmf {
+            None => child_weighted < ctx.w,
+            Some(mode) => {
+                let best = if (n + 1) as f64 >= ctx.lambda_t {
+                    child_weighted
+                } else {
+                    child_path * mode
+                };
+                best < ctx.w
+            }
+        };
+        if prune || n + 1 > ctx.max_depth {
+            // Eq. 4.6: discarding σ' and all suffixes loses at most
+            // P(σ')·Pr{N ≥ n + 1} probability mass.
+            out.add_error(child_path * poisson::upper_tail(ctx.lambda_t, n + 1));
+            continue;
+        }
+        let sc = ctx.rc.state_class(target);
+        let ic = ctx.rc.impulse_class(impulse);
+        counts.k[sc] += 1;
+        counts.j[ic] += 1;
+        visit(ctx, counts, out, target, n + 1, child_path, child_weighted);
+        counts.k[sc] -= 1;
+        counts.j[ic] -= 1;
+    }
+}
+
+/// One Eq. 4.5 term request: threshold `r'`, Omega counts `k`, and the
+/// weight `ψ_n(Λt)·P(σ)` the conditional probability is multiplied by.
+struct TermRequest<'a> {
+    /// Effective Omega threshold `r'` (Eq. 4.10); may be `+∞`.
+    r_prime: f64,
+    /// Residence counts per reward class.
+    k: &'a [u32],
+    /// `ψ_n(Λt) · P(σ)`.
+    weight: f64,
+}
+
+/// Compute `weight · Ω(r', k)` for every request, in request order, with
+/// one [`OmegaEvaluator`].
+///
+/// When a term cache is installed ([`crate::omega::with_omega_cache`]),
+/// known `Ω` values are served from it and only the misses run the
+/// recursion — the emitted `OmegaTable` event then reports the miss count
+/// as `requests` (the table work actually performed), and a cumulative
+/// `omega_cache_hits` counter is emitted. Ω is pure, so cached runs return
+/// bit-identical terms to uncached ones.
+fn omega_terms(
+    requests: &[TermRequest<'_>],
+    coefficients: Vec<f64>,
+) -> Result<Vec<f64>, NumericsError> {
+    let _span = mrmc_obs::span("omega");
+    // Validate the coefficients even when every request hits the cache, so
+    // the cached path rejects exactly what the uncached path rejects.
+    let mut omega = OmegaEvaluator::new(coefficients)?;
+    let cache = crate::omega::installed_cache()
+        .map(|cache| (OmegaTermCache::coefficient_key(omega.coefficients()), cache));
+    let mut values: Vec<Option<f64>> = match &cache {
+        Some((key, cache)) => requests
+            .iter()
+            .map(|rq| cache.get(key, rq.r_prime, rq.k))
+            .collect(),
+        None => vec![None; requests.len()],
+    };
+    let mut misses = 0u64;
+    for (rq, value) in requests.iter().zip(&mut values) {
+        if value.is_none() {
+            let fresh = omega.evaluate(rq.r_prime, rq.k);
+            if let Some((key, cache)) = &cache {
+                cache.insert(key, rq.r_prime, rq.k, fresh);
+            }
+            *value = Some(fresh);
+            misses += 1;
+        }
+    }
+    mrmc_obs::record(|| mrmc_obs::Event::OmegaTable {
+        coefficients: omega.coefficients().len() as u64,
+        requests: misses,
+        cache_entries: omega.cache_len() as u64,
+        max_recursion_depth: omega.max_recursion_depth(),
+    });
+    if let Some((_, cache)) = &cache {
+        mrmc_obs::record(|| mrmc_obs::Event::Counter {
+            name: mrmc_obs::counters::OMEGA_CACHE_HITS,
+            value: cache.hits(),
+        });
+    }
+    Ok(requests
+        .iter()
+        .zip(values)
+        .map(|(rq, v)| rq.weight * v.expect("every request resolved"))
+        .collect())
 }
 
 /// Combine stored path classes into the final probability (Eq. 4.5) using
 /// the Omega algorithm for the conditional probabilities (Eq. 4.9).
 ///
-/// Two phases: the per-class terms `ψ_n(Λt)·P(σ)·Ω(r', k)` are pure
-/// functions of their class and may be computed by parallel workers
-/// ([`parallel::omega_terms`]); the final fold is a single ordered
-/// Kahan-compensated sum over classes in `BTreeMap` key order, so the
-/// result does not depend on the thread count.
+/// Two phases: the per-class terms `ψ_n(Λt)·P(σ)·Ω(r', k)`
+/// ([`omega_terms`]), then a single ordered Kahan-compensated sum over
+/// classes in `BTreeMap` key order.
 fn evaluate_classes(
     classes: &PathClasses,
     classes_def: &RewardClasses,
     lambda_t: f64,
     t: f64,
     r: f64,
-    threads: usize,
 ) -> Result<UntilResult, NumericsError> {
     let r_min = classes_def.min_state_reward();
 
@@ -467,7 +554,7 @@ fn evaluate_classes(
             }
         })
         .collect();
-    let terms = parallel::omega_terms(&requests, classes_def.omega_coefficients(), threads)?;
+    let terms = omega_terms(&requests, classes_def.omega_coefficients())?;
 
     // First-order floating-point error model alongside the Eq. 4.5 fold:
     // each term `ψ_n(Λt)·P(σ)·Ω(r', k)` is produced by O(n + L) operations
@@ -475,8 +562,7 @@ fn evaluate_classes(
     // relative to the term's magnitude; the compensated fold itself adds at
     // most `2ε` per unit of summed magnitude, and the log-space Poisson pmf
     // carries ~1e-13 relative error from the Lanczos `ln_gamma` — budgeted
-    // at 1e-12 for headroom. Pure post-processing of the ordered term list,
-    // so the parallel-determinism guarantee is untouched.
+    // at 1e-12 for headroom. Pure post-processing of the ordered term list.
     let eps = f64::EPSILON;
     let num_coeffs = classes_def.omega_coefficients().len() as f64;
     let mut probability = KahanSum::new();
@@ -867,6 +953,78 @@ mod tests {
         assert!(
             (auto.probability - pinned.probability).abs()
                 <= auto.error_bound + pinned.error_bound + 1e-9
+        );
+    }
+
+    fn term_requests(counts: &[Vec<u32>], r0: f64, dr: f64) -> Vec<TermRequest<'_>> {
+        counts
+            .iter()
+            .enumerate()
+            .map(|(i, k)| TermRequest {
+                r_prime: r0 + dr * i as f64,
+                k,
+                weight: 1.0 / (1 + i) as f64,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn cached_omega_terms_are_bitwise_identical_and_reuse_tables() {
+        use crate::omega::with_omega_cache;
+        use std::sync::Arc;
+
+        let coeffs = vec![4.0, 1.5, 0.0];
+        let counts: Vec<Vec<u32>> = (0..40)
+            .map(|i| vec![1 + (i % 3) as u32, (i % 4) as u32, 1 + (i % 2) as u32])
+            .collect();
+        let requests = term_requests(&counts, 0.3, 0.1);
+        let uncached = omega_terms(&requests, coeffs.clone()).unwrap();
+
+        let cache = Arc::new(OmegaTermCache::new());
+        let (cold, warm) = with_omega_cache(cache.clone(), || {
+            let cold = omega_terms(&requests, coeffs.clone()).unwrap();
+            let warm = omega_terms(&requests, coeffs.clone()).unwrap();
+            (cold, warm)
+        });
+        for (i, (u, c)) in uncached.iter().zip(&cold).enumerate() {
+            assert_eq!(u.to_bits(), c.to_bits(), "cold term {i}");
+        }
+        for (i, (u, w)) in uncached.iter().zip(&warm).enumerate() {
+            assert_eq!(u.to_bits(), w.to_bits(), "warm term {i}");
+        }
+        // The second pass was served entirely from the cache.
+        assert_eq!(cache.hits(), requests.len() as u64);
+        assert_eq!(cache.len(), requests.len());
+    }
+
+    #[test]
+    fn cached_runs_report_misses_not_total_requests() {
+        use crate::omega::with_omega_cache;
+        use mrmc_obs::{with_recorder, MetricsRecorder};
+        use std::sync::Arc;
+
+        let coeffs = vec![3.0, 1.0, 0.0];
+        let counts: Vec<Vec<u32>> = (0..12).map(|i| vec![1, 1 + (i % 3) as u32, 1]).collect();
+        let requests = term_requests(&counts, 0.2, 0.15);
+
+        let cache = Arc::new(OmegaTermCache::new());
+        let first = Arc::new(MetricsRecorder::new());
+        let second = Arc::new(MetricsRecorder::new());
+        with_omega_cache(cache.clone(), || {
+            with_recorder(first.clone(), || {
+                omega_terms(&requests, coeffs.clone()).unwrap();
+            });
+            with_recorder(second.clone(), || {
+                omega_terms(&requests, coeffs.clone()).unwrap();
+            });
+        });
+        let cold = first.snapshot();
+        let warm = second.snapshot();
+        assert_eq!(cold.omega_requests, requests.len() as u64);
+        assert_eq!(warm.omega_requests, 0, "warm run must be all cache hits");
+        assert_eq!(
+            warm.counters[mrmc_obs::counters::OMEGA_CACHE_HITS],
+            requests.len() as u64
         );
     }
 }

@@ -20,13 +20,9 @@
 //! Instrumentation is **observation-only**: emitting events never reorders
 //! a floating-point operation, takes a different branch, or perturbs a
 //! seed, so verdicts, probabilities, and error budgets are bit-for-bit
-//! identical whether recording is on or off, at every thread count.
-//! Concretely:
+//! identical whether recording is on or off. Concretely:
 //!
 //! * emission sites only *read* values the engines computed anyway;
-//! * parallel workers never emit from their own threads — per-subtree
-//!   counters are reported by the coordinator during the deterministic
-//!   ordered replay, so even the trace's event order is reproducible;
 //! * wall-clock data appears only in [`Event::Span`] payloads (and the
 //!   `phases` map of [`RunMetrics`]) — never in anything a verdict
 //!   depends on.
@@ -97,9 +93,8 @@ thread_local! {
 ///
 /// Scoping is dynamic and re-entrant: nested calls shadow the outer
 /// recorder and restore it on exit (also on unwind). The recorder is
-/// thread-local on purpose — engine worker threads spawned *inside* the
-/// scope see no recorder and stay on the free no-op path, which is what
-/// the determinism contract requires (only coordinators emit).
+/// thread-local on purpose: a thread spawned *inside* the scope sees no
+/// recorder and stays on the free no-op path until it installs its own.
 pub fn with_recorder<T>(recorder: Arc<dyn Recorder>, f: impl FnOnce() -> T) -> T {
     struct Restore {
         previous: Option<Arc<dyn Recorder>>,

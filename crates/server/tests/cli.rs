@@ -177,6 +177,38 @@ fn missing_files_fail_cleanly() {
 }
 
 #[test]
+fn removed_threads_and_solver_flags_are_usage_errors() {
+    // `--threads` and `--solver` selected the deleted parallel engines and
+    // colored solver; they are now unrecognized arguments, rejected before
+    // any model is loaded or any engine runs.
+    let dir = temp_dir("removed-flags");
+    let [tra, lab, rewr, rewi] = write_tmr_like_model(&dir);
+    let model = [
+        tra.to_str().unwrap(),
+        lab.to_str().unwrap(),
+        rewr.to_str().unwrap(),
+        rewi.to_str().unwrap(),
+    ];
+    for flag in [&["--threads", "2"], &["--solver", "colored"]] {
+        let mut args = model.to_vec();
+        args.extend_from_slice(flag);
+        // Empty stdin: the process exits before it would read formulas.
+        let (stdout, stderr, code) = run_mrmc_code(&args, "");
+        assert_eq!(code, Some(1), "{flag:?}: stderr: {stderr}");
+        assert!(
+            stdout.is_empty(),
+            "{flag:?}: nothing may be loaded or checked: {stdout}"
+        );
+        assert!(
+            stderr.starts_with(&format!("unrecognized argument `{}`", flag[0])),
+            "{flag:?}: {stderr}"
+        );
+        assert!(stderr.contains("usage: mrmc"), "{flag:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn help_prints_usage() {
     let (stdout, _, ok) = run_mrmc(&["--help"], "");
     assert!(ok);
@@ -615,7 +647,6 @@ fn metrics_flag_reports_run_metrics() {
         "\"paths_pruned\":",
         "\"path_max_depth\":",
         "\"path_classes\":",
-        "\"parallel_tasks\":",
         "\"omega_requests\":",
         "\"omega_cache_entries\":",
         "\"omega_max_depth\":",

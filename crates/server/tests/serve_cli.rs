@@ -197,3 +197,39 @@ fn batch_reports_failures_in_exit_code() {
     assert!(server.wait().unwrap().success());
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn removed_threads_option_gets_a_typed_error_and_the_connection_survives() {
+    let dir = temp_dir("removed-threads");
+    let [tra, lab, rewr, rewi] = write_tmr_like_model(&dir);
+    let (mut server, addr) = spawn_server(1, 1);
+
+    let requests = format!(
+        "{{\"load\":{{\"model\":\"m\",\"tra\":\"{}\",\"lab\":\"{}\",\"rewr\":\"{}\",\"rewi\":\"{}\"}}}}\n\
+         {{\"check\":{{\"model\":\"m\",\"formula\":\"S(> 0.5) (up)\",\"options\":{{\"threads\":4}}}},\"id\":1}}\n\
+         {{\"stats\":true}}\n",
+        tra.display(),
+        lab.display(),
+        rewr.display(),
+        rewi.display()
+    );
+    let (lines, code) = run_batch(&addr, &requests);
+    assert_eq!(code, Some(1), "the rejected check is a failure: {lines:#?}");
+    let rejected = lines
+        .iter()
+        .position(|l| {
+            l == "{\"error\":\"unrecognized option `threads`\",\"error_kind\":\"request\"}"
+        })
+        .unwrap_or_else(|| panic!("no typed rejection: {lines:#?}"));
+    let stats = lines
+        .iter()
+        .position(|l| l.starts_with("{\"stats\":"))
+        .unwrap_or_else(|| panic!("stats went unanswered: {lines:#?}"));
+    assert!(rejected < stats, "{lines:#?}");
+    assert!(
+        !lines.iter().any(|l| l.starts_with("{\"id\":1,")),
+        "the rejected check must not run: {lines:#?}"
+    );
+    assert!(server.wait().unwrap().success());
+    std::fs::remove_dir_all(&dir).ok();
+}
