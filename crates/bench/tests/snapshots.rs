@@ -20,6 +20,8 @@ const SNAPSHOTS: &[&str] = &[
     "BENCH_dataflow_baseline.json",
     "BENCH_server.json",
     "BENCH_server_baseline.json",
+    "BENCH_table_5_4_maintained_error.json",
+    "BENCH_table_5_4_maintained_error_baseline.json",
 ];
 
 fn load(name: &str) -> Value {
@@ -151,6 +153,10 @@ fn committed_pairs_pass_the_regression_sentinel() {
         ("BENCH_kernels.json", "BENCH_kernels_baseline.json"),
         ("BENCH_adaptive.json", "BENCH_adaptive_baseline.json"),
         ("BENCH_server.json", "BENCH_server_baseline.json"),
+        (
+            "BENCH_table_5_4_maintained_error.json",
+            "BENCH_table_5_4_maintained_error_baseline.json",
+        ),
     ] {
         let report = diff_files(
             &root.join(current),
@@ -178,6 +184,10 @@ fn every_baseline_benchmark_still_exists_in_its_snapshot() {
         ("BENCH_adaptive.json", "BENCH_adaptive_baseline.json"),
         ("BENCH_dataflow.json", "BENCH_dataflow_baseline.json"),
         ("BENCH_server.json", "BENCH_server_baseline.json"),
+        (
+            "BENCH_table_5_4_maintained_error.json",
+            "BENCH_table_5_4_maintained_error_baseline.json",
+        ),
     ] {
         let ids = |name: &str| -> Vec<String> {
             let doc = load(name);

@@ -9,7 +9,9 @@
 //!   included as the last class).
 //!
 //! [`RewardClasses`] precomputes, for a (typically absorbed) model, the
-//! class index of every state and a lookup from impulse value to class.
+//! class index of every state, a lookup from impulse value to class, and
+//! the `(k, j)` class pair of every transition, so path generation never
+//! searches for a class.
 
 use mrmc_mrm::UniformizedMrm;
 
@@ -23,6 +25,11 @@ pub struct RewardClasses {
     /// Distinct impulse rewards `i_1 > … > i_J` (the final entry is always
     /// `0`).
     impulse_rewards: Vec<f64>,
+    /// `(state class of the target, impulse class)` of every transition,
+    /// in [`UniformizedMrm::transitions`] order, row after row.
+    edge_classes: Vec<(u32, u32)>,
+    /// Prefix offsets into `edge_classes`, one per state (plus a sentinel).
+    edge_offsets: Vec<usize>,
 }
 
 impl RewardClasses {
@@ -53,11 +60,26 @@ impl RewardClasses {
         impulse_rewards.sort_by(|a, b| b.partial_cmp(a).expect("impulses are finite"));
         impulse_rewards.dedup();
 
-        RewardClasses {
+        let mut rc = RewardClasses {
             state_rewards,
             class_of_state,
             impulse_rewards,
+            edge_classes: Vec::new(),
+            edge_offsets: Vec::with_capacity(uni.num_states() + 1),
+        };
+        let class_index = |c: usize| u32::try_from(c).expect("class count fits in u32");
+        rc.edge_offsets.push(0);
+        for s in 0..uni.num_states() {
+            for (target, _, imp) in uni.transitions(s) {
+                let classes = (
+                    class_index(rc.state_class(target)),
+                    class_index(rc.impulse_class(imp)),
+                );
+                rc.edge_classes.push(classes);
+            }
+            rc.edge_offsets.push(rc.edge_classes.len());
         }
+        rc
     }
 
     /// `K + 1`: number of distinct state rewards.
@@ -100,6 +122,16 @@ impl RewardClasses {
             .iter()
             .position(|&x| x == impulse)
             .expect("impulse value stems from the model")
+    }
+
+    /// `(state_class(target), impulse_class(impulse))` of every transition
+    /// of `state`, aligned with [`UniformizedMrm::transitions`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `state` is out of bounds.
+    pub(crate) fn edge_classes(&self, state: usize) -> &[(u32, u32)] {
+        &self.edge_classes[self.edge_offsets[state]..self.edge_offsets[state + 1]]
     }
 
     /// The smallest distinct state reward `r_{K+1}`.
@@ -173,6 +205,22 @@ mod tests {
         assert_eq!(rc.impulse_class(2.0), 0);
         assert_eq!(rc.impulse_class(0.5), 1);
         assert_eq!(rc.impulse_class(0.0), 2);
+    }
+
+    #[test]
+    fn edge_classes_align_with_transitions() {
+        let uni = model();
+        let rc = RewardClasses::new(&uni);
+        for s in 0..uni.num_states() {
+            let expected: Vec<(u32, u32)> = uni
+                .transitions(s)
+                .map(|(t, _, imp)| (rc.state_class(t) as u32, rc.impulse_class(imp) as u32))
+                .collect();
+            assert_eq!(rc.edge_classes(s), &expected[..], "state {s}");
+        }
+        // 0 → 1 carries impulse 2.0 into the reward-1 state: classes (1, 0).
+        let jump = uni.transitions(0).position(|(t, _, _)| t == 1).unwrap();
+        assert_eq!(rc.edge_classes(0)[jump], (1, 0));
     }
 
     #[test]

@@ -16,6 +16,7 @@
 
 use mrmc_ctmc::poisson;
 use mrmc_mrm::{transform::make_absorbing, Mrm, UniformizedMrm};
+use mrmc_sparse::RowEntries;
 
 use crate::budget::ErrorBudget;
 use crate::error::NumericsError;
@@ -271,6 +272,7 @@ pub fn until_probabilities_all(
     let uni = UniformizedMrm::new(&absorbed, options.lambda)?;
     let classes_def = RewardClasses::new(&uni);
     let lambda_t = uni.lambda() * t;
+    let mut explorer = Explorer::new(&uni, &classes_def, phi, psi, lambda_t, &options);
 
     let mut out = Vec::with_capacity(n);
     // Progress is throttled by state count, not wall clock, so the event
@@ -281,8 +283,7 @@ pub fn until_probabilities_all(
             out.push(zero(false));
         } else {
             let _span = mrmc_obs::span("path");
-            let classes =
-                generate_path_classes(&uni, &classes_def, phi, psi, s, lambda_t, &options);
+            let classes = explorer.explore(s);
             record_exploration(s, &classes);
             out.push(evaluate_classes(&classes, &classes_def, lambda_t, t, r)?);
         }
@@ -343,46 +344,14 @@ pub fn generate_path_classes(
     lambda_t: f64,
     options: &UniformOptions,
 ) -> PathClasses {
-    let ctx = ExploreCtx {
-        uni,
-        rc: classes_def,
-        phi,
-        psi,
-        lambda_t,
-        w: options.truncation,
-        max_depth: options.max_depth,
-        mode_pmf: options
-            .improved_pruning
-            .then(|| poisson::pmf(lambda_t, lambda_t.floor() as u64)),
-    };
-
-    let mut out = PathClasses::new();
-    if !phi[start] && !psi[start] {
-        return out;
-    }
-    let root_weight = (-lambda_t).exp();
-    let root_pruned = match ctx.mode_pmf {
-        None => root_weight < ctx.w,
-        Some(mode) => mode < ctx.w,
-    };
-    if root_pruned {
-        // Even the empty path is below the truncation probability: the
-        // whole computation is truncated mass.
-        out.add_error(1.0);
-        return out;
-    }
-
-    let mut counts = Counts {
-        k: vec![0; classes_def.num_state_classes()],
-        j: vec![0; classes_def.num_impulse_classes()],
-    };
-    counts.k[classes_def.state_class(start)] = 1;
-    visit(&ctx, &mut counts, &mut out, start, 0, 1.0, root_weight);
-    out
+    Explorer::new(uni, classes_def, phi, psi, lambda_t, options).explore(start)
 }
 
-/// Everything the visit logic reads.
-struct ExploreCtx<'a> {
+/// Algorithm 4.7 over one uniformized model and horizon `Λt`, built once
+/// per until call and shared by all its start states: the Eq. 4.6 tail
+/// table and the DFS buffers outlive any single exploration, and every
+/// node costs the same whatever its depth.
+struct Explorer<'a> {
     uni: &'a UniformizedMrm,
     rc: &'a RewardClasses,
     phi: &'a [bool],
@@ -392,65 +361,169 @@ struct ExploreCtx<'a> {
     max_depth: u64,
     /// `max_m ψ_m(Λt)` for potential-based pruning (`None` = literal rule).
     mode_pmf: Option<f64>,
-}
-
-/// The mutable `(k, j)` reward-count vectors threaded through the DFS.
-struct Counts {
+    /// `tails[m] = poisson::upper_tail(Λt, m)`, computed on first use: a
+    /// pruned child at depth `m` is charged `P(σ')·tails[m]`, and the
+    /// depth takes few distinct values while prunes number millions.
+    tails: Vec<Option<f64>>,
+    /// The `(k, j)` reward-count vectors of the current path.
     k: Vec<u32>,
     j: Vec<u32>,
+    /// One frame per node of the current path: the DFS runs on the heap,
+    /// so its depth (which follows `Λt` under potential-based pruning) is
+    /// not bounded by the thread's stack.
+    stack: Vec<Frame<'a>>,
 }
 
-/// The visit logic of Algorithm 4.7: count the node, store it if it ends
-/// in Ψ, then extend it by every transition that survives pruning, folding
-/// stores and Eq. 4.6 error contributions into `out` in DFS order.
-fn visit(
-    ctx: &ExploreCtx<'_>,
-    counts: &mut Counts,
-    out: &mut PathClasses,
-    s: usize,
-    n: u64,
+/// A node on the DFS path.
+struct Frame<'a> {
+    /// The node's transitions not yet expanded, with their `(k, j)` classes.
+    edges: std::iter::Zip<RowEntries<'a>, std::slice::Iter<'a, (u32, u32)>>,
+    /// The classes of the transition that entered the node (unused at the
+    /// root).
+    entered: (u32, u32),
+    /// `P(σ)`.
     path_prob: f64,
+    /// `P(σ, t) = ψ_n(Λt)·P(σ)`.
     weighted: f64,
-) {
-    out.count_node(n);
-    if ctx.psi[s] {
-        out.store(&counts.k, &counts.j, path_prob);
+    /// `Λt / (n + 1)`, the Poisson ratio to the children's depth.
+    next_factor: f64,
+}
+
+impl<'a> Explorer<'a> {
+    fn new(
+        uni: &'a UniformizedMrm,
+        rc: &'a RewardClasses,
+        phi: &'a [bool],
+        psi: &'a [bool],
+        lambda_t: f64,
+        options: &UniformOptions,
+    ) -> Self {
+        Explorer {
+            uni,
+            rc,
+            phi,
+            psi,
+            lambda_t,
+            w: options.truncation,
+            max_depth: options.max_depth,
+            mode_pmf: options
+                .improved_pruning
+                .then(|| poisson::pmf(lambda_t, lambda_t.floor() as u64)),
+            tails: Vec::new(),
+            k: vec![0; rc.num_state_classes()],
+            j: vec![0; rc.num_impulse_classes()],
+            stack: Vec::new(),
+        }
     }
-    let next_factor = ctx.lambda_t / (n + 1) as f64;
-    for (target, p, impulse) in ctx.uni.transitions(s) {
-        // Line 1 of Algorithm 4.7: (¬Φ ∧ ¬Ψ)-states end exploration and
-        // can never satisfy the formula — no error contribution either.
-        if !ctx.phi[target] && !ctx.psi[target] {
-            continue;
+
+    /// `Pr{N ≥ m}` for `N ~ Poisson(Λt)`, from the tail table.
+    fn tail(&mut self, m: u64) -> f64 {
+        let i = usize::try_from(m).expect("path depth fits in usize");
+        if i >= self.tails.len() {
+            self.tails.resize(i + 1, None);
         }
-        let child_path = path_prob * p;
-        let child_weighted = weighted * next_factor * p;
-        // Literal rule: prune on P(σ, t) < w. Potential rule: prune only
-        // when no extension of σ can reach weight w any more.
-        let prune = match ctx.mode_pmf {
-            None => child_weighted < ctx.w,
-            Some(mode) => {
-                let best = if (n + 1) as f64 >= ctx.lambda_t {
-                    child_weighted
-                } else {
-                    child_path * mode
-                };
-                best < ctx.w
-            }
+        *self.tails[i].get_or_insert_with(|| poisson::upper_tail(self.lambda_t, m))
+    }
+
+    /// The visit logic of Algorithm 4.7 from `start`: count each node,
+    /// store it if it ends in Ψ, then extend it by every transition that
+    /// survives pruning, folding stores and Eq. 4.6 error contributions
+    /// into the result in depth-first order.
+    fn explore(&mut self, start: usize) -> PathClasses {
+        let mut out = PathClasses::new();
+        if !self.phi[start] && !self.psi[start] {
+            return out;
+        }
+        let root_weight = (-self.lambda_t).exp();
+        let root_pruned = match self.mode_pmf {
+            None => root_weight < self.w,
+            Some(mode) => mode < self.w,
         };
-        if prune || n + 1 > ctx.max_depth {
-            // Eq. 4.6: discarding σ' and all suffixes loses at most
-            // P(σ')·Pr{N ≥ n + 1} probability mass.
-            out.add_error(child_path * poisson::upper_tail(ctx.lambda_t, n + 1));
-            continue;
+        if root_pruned {
+            // Even the empty path is below the truncation probability: the
+            // whole computation is truncated mass.
+            out.add_error(1.0);
+            return out;
         }
-        let sc = ctx.rc.state_class(target);
-        let ic = ctx.rc.impulse_class(impulse);
-        counts.k[sc] += 1;
-        counts.j[ic] += 1;
-        visit(ctx, counts, out, target, n + 1, child_path, child_weighted);
-        counts.k[sc] -= 1;
-        counts.j[ic] -= 1;
+
+        self.k.fill(0);
+        self.j.fill(0);
+        self.k[self.rc.state_class(start)] = 1;
+        self.enter(&mut out, start, 0, (0, 0), 1.0, root_weight);
+        while let Some(frame) = self.stack.last_mut() {
+            let Some(((target, p), &(sc, ic))) = frame.edges.next() else {
+                let done = self.stack.pop().expect("the loop saw a frame");
+                if !self.stack.is_empty() {
+                    self.k[done.entered.0 as usize] -= 1;
+                    self.j[done.entered.1 as usize] -= 1;
+                }
+                continue;
+            };
+            let (path_prob, weighted, next_factor) =
+                (frame.path_prob, frame.weighted, frame.next_factor);
+            // Line 1 of Algorithm 4.7: (¬Φ ∧ ¬Ψ)-states end exploration and
+            // can never satisfy the formula — no error contribution either.
+            if !self.phi[target] && !self.psi[target] {
+                continue;
+            }
+            let n = self.stack.len() as u64 - 1;
+            let child_path = path_prob * p;
+            let child_weighted = weighted * next_factor * p;
+            // Literal rule: prune on P(σ, t) < w. Potential rule: prune only
+            // when no extension of σ can reach weight w any more.
+            let prune = match self.mode_pmf {
+                None => child_weighted < self.w,
+                Some(mode) => {
+                    let best = if (n + 1) as f64 >= self.lambda_t {
+                        child_weighted
+                    } else {
+                        child_path * mode
+                    };
+                    best < self.w
+                }
+            };
+            if prune || n + 1 > self.max_depth {
+                // Eq. 4.6: discarding σ' and all suffixes loses at most
+                // P(σ')·Pr{N ≥ n + 1} probability mass.
+                out.add_error(child_path * self.tail(n + 1));
+                continue;
+            }
+            self.k[sc as usize] += 1;
+            self.j[ic as usize] += 1;
+            self.enter(
+                &mut out,
+                target,
+                n + 1,
+                (sc, ic),
+                child_path,
+                child_weighted,
+            );
+        }
+        out
+    }
+
+    /// Count and (if it ends in Ψ) store the node at depth `n` whose path
+    /// reaches `s`, and push its frame.
+    fn enter(
+        &mut self,
+        out: &mut PathClasses,
+        s: usize,
+        n: u64,
+        entered: (u32, u32),
+        path_prob: f64,
+        weighted: f64,
+    ) {
+        out.count_node(n);
+        if self.psi[s] {
+            out.store(&self.k, &self.j, path_prob);
+        }
+        self.stack.push(Frame {
+            edges: self.uni.probabilities().row(s).zip(self.rc.edge_classes(s)),
+            entered,
+            path_prob,
+            weighted,
+            next_factor: self.lambda_t / (n + 1) as f64,
+        });
     }
 }
 
@@ -592,6 +665,9 @@ fn evaluate_classes(
         max_depth: classes.max_depth(),
     })
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {
@@ -956,6 +1032,61 @@ mod tests {
         );
     }
 
+    #[test]
+    fn tail_table_matches_upper_tail_bitwise() {
+        let m = two_state(1.0);
+        let uni = UniformizedMrm::new(&m, None).unwrap();
+        let rc = RewardClasses::new(&uni);
+        let all = vec![true; 2];
+        // λt < 1 (only the m > λt branch), TMR's Λt at t = 400 and a large
+        // horizon (both branches, m ≤ λt and m > λt).
+        for lambda_t in [0.37, 23.18, 500.0] {
+            let mut explorer =
+                Explorer::new(&uni, &rc, &all, &all, lambda_t, &UniformOptions::new());
+            // Fill out of order, then read back in order.
+            for m in [40_u64, 3, 700, 0, 23, 24, 1] {
+                explorer.tail(m);
+            }
+            for m in (0..=700).chain([1_000, 5_000]) {
+                assert_eq!(
+                    explorer.tail(m).to_bits(),
+                    poisson::upper_tail(lambda_t, m).to_bits(),
+                    "λt = {lambda_t}, m = {m}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn deep_paths_do_not_overflow_a_small_stack() {
+        // Under potential-based pruning the depth follows Λt: from `a` the
+        // path to the absorbing goal runs ~20k steps before its weight
+        // falls below w, far past what one stack frame per step allows on
+        // a 256 KiB thread.
+        let mut b = CtmcBuilder::new(2);
+        b.transition(0, 1, 1.0);
+        b.label(0, "a");
+        b.label(1, "goal");
+        let rho = StateRewards::new(vec![1.0, 1.0]).unwrap();
+        let m = Mrm::new(b.build().unwrap(), rho, ImpulseRewards::new()).unwrap();
+        let phi = vec![true, false];
+        let psi = vec![false, true];
+        let opts = UniformOptions::new().with_improved_pruning();
+        let res = std::thread::scope(|scope| {
+            std::thread::Builder::new()
+                .stack_size(256 * 1024)
+                .spawn_scoped(scope, || {
+                    until_probability(&m, &phi, &psi, 20_000.0, 1e9, 0, opts)
+                })
+                .expect("spawn the small-stack thread")
+                .join()
+                .expect("exploration finished")
+                .unwrap()
+        });
+        assert!(res.max_depth > 20_000, "depth {}", res.max_depth);
+        assert!((res.probability - 1.0).abs() <= res.error_bound + 1e-9);
+    }
+
     fn term_requests(counts: &[Vec<u32>], r0: f64, dr: f64) -> Vec<TermRequest<'_>> {
         counts
             .iter()
@@ -1048,6 +1179,33 @@ mod all_states_tests {
         let all = until_probabilities_all(&m, &phi, &psi, 1.0, 50.0, opts).unwrap();
         for (s, combined) in all.iter().enumerate() {
             let single = until_probability(&m, &phi, &psi, 1.0, 50.0, s, opts).unwrap();
+            assert_eq!(*combined, single, "state {s}");
+        }
+    }
+
+    #[test]
+    fn all_states_matches_per_state_calls_on_tmr11_with_impulses() {
+        use mrmc_models::{tmr, TmrConfig};
+        let m = tmr(&TmrConfig::with_modules(11));
+        assert!(!m.impulse_rewards().is_empty());
+        let phi = m.labeling().states_with("Sup");
+        let psi = m.labeling().states_with("failed");
+        let opts = UniformOptions::new().with_truncation(1e-7);
+        let all = until_probabilities_all(&m, &phi, &psi, 100.0, 3000.0, opts).unwrap();
+        let explored: u64 = all.iter().map(|r| r.explored_nodes).sum();
+        assert!(explored > 0);
+        for (s, combined) in all.iter().enumerate() {
+            let single = until_probability(&m, &phi, &psi, 100.0, 3000.0, s, opts).unwrap();
+            assert_eq!(
+                combined.probability.to_bits(),
+                single.probability.to_bits(),
+                "state {s}"
+            );
+            assert_eq!(
+                combined.error_bound.to_bits(),
+                single.error_bound.to_bits(),
+                "state {s}"
+            );
             assert_eq!(*combined, single, "state {s}");
         }
     }
